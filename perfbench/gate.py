@@ -116,8 +116,7 @@ def check(reqs: List[Req], cfg: Dict[str, Any], seed: int, fleet: bool) -> List[
     if fleet:
         misses = [r for r in plans if not r.cached]
         sample = misses[: cfg["gate"]["fleet_solo_samples"]]
-        pool = SolverPool(processes=cfg["gate"]["solo_processes"],
-                          restarts=cfg["gate"]["solo_restarts"])
+        pool = SolverPool()  # the defaults ``cast-plan serve`` runs with
         try:
             for r in sample:
                 request = {k: v for k, v in r.params.items() if k != "tenant"}

@@ -21,6 +21,7 @@ import asyncio
 import contextlib
 import dataclasses
 import itertools
+import math
 import time
 from typing import Any, Dict, List, Optional
 
@@ -81,9 +82,10 @@ class Inputs:
     mix_offsets: List[float]             # its arrival times, s from phase start
 
 
-def make_inputs(cfg: Dict[str, Any], seed: int, seconds: float) -> Inputs:
-    """Draw every request of a run from ``seed``.  All requests are sent
-    as tenant ``light``, except the fleet's background ``batch`` plans."""
+def make_inputs(cfg: Dict[str, Any], seed: int, seconds: float, rate: float) -> Inputs:
+    """Draw every request of a run from ``seed``; the interactive stream
+    holds ``rate`` × ``seconds`` requests.  All requests are sent as
+    tenant ``light``, except the fleet's background ``batch`` plans."""
     gen = cfg["generator"]
     rng = np.random.default_rng([seed, 2015])
     knobs = {"provider": gen["provider"], "n_vms": gen["n_vms"],
@@ -120,7 +122,7 @@ def make_inputs(cfg: Dict[str, Any], seed: int, seconds: float) -> Inputs:
     }
 
     inter = cfg["interactive"]
-    n_req = max(3, int(round(inter["rate_per_s"] * seconds)))
+    n_req = max(3, int(round(rate * seconds)))
     # Equal thirds, shuffled within each block of three: the order is
     # seeded, but no seed can bunch the slow kinds into a burst.
     kinds: List[str] = []
@@ -194,6 +196,7 @@ class Req:
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
     response_bytes: int = 0
+    rid: str = ""                 # request id on the wire
 
     @property
     def latency_s(self) -> float:
@@ -231,7 +234,7 @@ class Connection:
     async def call(self, req: Req) -> Req:
         """Send ``req`` and fill in its outcome (never raises on a
         failed request; a failure is recorded on the record)."""
-        rid = f"pb-{next(self._ids)}"
+        rid = req.rid = f"pb-{next(self._ids)}"
         req.sent = time.monotonic()
         if req.due == 0.0:
             req.due = req.sent
@@ -270,12 +273,15 @@ class Connection:
         return req.result
 
 
-async def closed_loop(conns: List[Connection], reqs: List[Req]) -> None:
-    """Each connection sends its next request when the previous answered."""
+async def closed_loop(conns: List[Connection], reqs: List[Req],
+                      deadline: float = math.inf) -> None:
+    """Each connection sends its next request when the previous answered,
+    until ``reqs`` or the time run out (``deadline``, monotonic seconds);
+    requests left unsent keep ``sent == 0``."""
     pending = list(reversed(reqs))
 
     async def worker(conn: Connection) -> None:
-        while pending:
+        while pending and time.monotonic() < deadline:
             await conn.call(pending.pop())
 
     await asyncio.gather(*(worker(c) for c in conns))

@@ -170,7 +170,7 @@ def _is_planner(labels: Dict) -> bool:
 
 
 def per_layer(records: List[Any], snaps: Dict[str, Dict], all_spans: List[Dict],
-              fleet: bool, overhead_frac: float) -> Dict[str, float]:
+              fleet: bool) -> Dict[str, float]:
     """The ``per_layer`` metrics of one traced pass."""
     by_id, children, roots, _ = spanlib.build_forest(all_spans)
     phase_of_root = {r: by_id[r]["attrs"].get("phase") for r in roots}
@@ -318,7 +318,6 @@ def per_layer(records: List[Any], snaps: Dict[str, Dict], all_spans: List[Dict],
     # benchmark health
     lags = [(r.queued - r.due) * 1000.0 for r in records if r.phase == "interactive"]
     out["loadgen.lag_p90_ms"] = pct(lags, 90)
-    out["obs.trace_overhead_frac"] = overhead_frac
 
     # self time per layer, as a share of the phase's client wall time
     for phase, accept in (
@@ -333,22 +332,91 @@ def per_layer(records: List[Any], snaps: Dict[str, Dict], all_spans: List[Dict],
 
 
 def self_time_check(all_spans: List[Dict]) -> Dict[str, float]:
-    """Layer self times vs measured wall time over every timed request."""
+    """Layer self times vs measured wall time over every timed request.
+
+    Self times split each request's wall time among its spans, so the
+    sum misses only where a child ran outside its parent or a linked
+    span lost its parent; :func:`link_check` covers spans that never
+    arrived at all.
+    """
     st = spanlib.self_times(
         all_spans, lambda s: s["attrs"].get("phase") in ("cold", "sweep", "interactive"))
     return {
         "wall_s": st["wall_s"],
         "self_sum_s": st["self_sum_s"],
         "err_frac": ratio(abs(st["self_sum_s"] - st["wall_s"]), st["wall_s"]),
-        "lost_links": st["lost"],
     }
 
 
-def trace_overhead(untraced: List[Any], traced: List[Any]) -> float:
-    """Paired latency gap: the same requests, traced vs untraced."""
+#: Span every answered request of an op must have below its client span.
+_OP_SPANS = {"sweep": ("sweep.run",),
+             "session_delta": ("session.add_jobs", "session.remove_jobs")}
+
+
+def link_check(records: List[Any], all_spans: List[Dict], fleet: bool) -> List[str]:
+    """Check that the spans each timed request must cause reached home.
+
+    Every timed request needs its client span with exactly one daemon
+    dispatch under it; on the fleet every shard forward needs the
+    shard's dispatch; every solved plan needs as many ``pool.restart``
+    spans from the pool workers as the response reports restarts;
+    sweeps and session deltas need their layer's span; and no span that
+    carries a cross-process key may be left without its parent.
+    """
+    by_id, children, roots, orphans = spanlib.build_forest(all_spans)
+    root_of = {by_id[r]["attrs"].get("sent"): r for r in roots}
+    dispatch = "router.dispatch" if fleet else "server.dispatch"
+    errors: List[str] = []
+
+    def kids(sid: str, name: str) -> List[Dict]:
+        return [by_id[c] for c in children.get(sid, ()) if by_id[c]["name"] == name]
+
+    for r in records:
+        if r.phase not in ("cold", "sweep", "interactive"):
+            continue
+        label = f"{r.kind} #{r.index}"
+        root = root_of.get(r.rid)
+        if root is None:
+            errors.append(f"{label}: no client span")
+            continue
+        if len(kids(root, dispatch)) != 1:
+            errors.append(f"{label}: {len(kids(root, dispatch))} {dispatch} spans, want 1")
+        if not r.ok:
+            continue
+        below = spanlib.descendants(by_id, children, [root])
+        names = [s["name"] for s in below]
+        if r.op == "plan" and not r.cached:
+            want = r.result.get("restarts", 0)
+            got = names.count("pool.restart")
+            if "pool.solve" not in names or got != want:
+                errors.append(f"{label}: {got} pool.restart spans for {want} restarts")
+        need = _OP_SPANS.get(r.op, ())
+        if need and not any(n in names for n in need):
+            errors.append(f"{label}: no {' or '.join(need)} span")
+        if fleet:
+            for fwd in (s for s in below if s["name"] == "router.forward"):
+                if len(kids(fwd["sid"], "server.dispatch")) != 1:
+                    errors.append(f"{label}: a shard forward has no shard dispatch")
+    lost = [by_id[o]["name"] for o in orphans if spanlib.should_link(by_id[o])]
+    if lost:
+        errors.append(f"{len(lost)} spans lost their cross-process parent "
+                      f"({', '.join(sorted(set(lost)))})")
+    return errors
+
+
+def trace_overhead(untraced: List[Any], traced: List[Any]) -> Dict[str, float]:
+    """Paired latency gap, the same requests traced vs untraced: the
+    median of the per-request ratios minus 1, per phase, so the
+    seconds-long cold requests cannot drown the interactive ones."""
     def key(r: Any) -> Optional[tuple]:
         return (r.phase, r.kind, r.index) if r.ok else None
 
     base = {key(r): r.latency_s for r in untraced if key(r) is not None}
-    pairs = [(base[key(r)], r.latency_s) for r in traced if key(r) in base]
-    return ratio(sum(t for _, t in pairs), sum(u for u, _ in pairs)) - 1.0
+
+    def gap(phases: Iterable[str]) -> float:
+        ratios = [r.latency_s / base[key(r)] for r in traced
+                  if r.phase in phases and r.tenant == "light" and key(r) in base]
+        return statistics.median(ratios) - 1.0 if ratios else 0.0
+
+    return {"obs.trace_overhead_frac": gap(("interactive",)),
+            "obs.trace_overhead_frac.cold": gap(("cold", "sweep"))}

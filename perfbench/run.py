@@ -12,23 +12,28 @@ from this one process over at most two connections:
 1. set-up: launch the daemon ``setup_launches`` times (fresh HOME, TMPDIR
    and cwd each), time launch → first answered ``ping``, keep the last;
 2. ``cold``: the first ``plan`` alone, then unique 100-job ``plan``
-   misses in a closed loop over two connections (one on the fleet: two
-   concurrent plans share a shard's one pool process whenever they hash
-   to the same shard, which would make throughput a coin toss);
+   misses in a closed loop over tenant ``light``'s connections
+   (``connections`` in ``config.json``: two on ``solo``, one on the
+   fleet, whose other connection belongs to tenant ``batch``);
 3. ``sweep``: one cross-catalog ``sweep``;
 4. ``prep`` (untimed): open a planning session with ~1,000 jobs;
 5. ``interactive``: ``--seconds`` of an open-loop mix of ``plan`` cache
    hits, mostly-unique ``whatif``s and 1–2-job ``session_delta``s as
-   tenant ``light``; on the fleet, tenant ``batch`` sends unique
-   ``plan`` misses at the same time on the other connection;
+   tenant ``light``, at a rate well below the mix's closed-loop capacity;
+   on the fleet, tenant ``batch`` sends unique ``plan`` misses at the
+   same time on the other connection;
 6. stop the daemon, then run the correctness gate (``gate.py``).
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs the
 same inputs twice, untraced and then with span wrappers installed in
-every daemon process, and prints the per-layer metrics (the gap between
-the two passes is ``obs.trace_overhead_frac``).  The last stdout line is
-one JSON object: ``{"correct", "attempted", "failed", "metrics"}``.
-Details: ``perfbench/README.md``.
+every daemon process, checks that every span a request must cause
+reached home, and prints the per-layer metrics (the gap between the two
+passes is ``obs.trace_overhead_frac``).  The last stdout line is one
+JSON object: ``{"correct", "attempted", "failed", "metrics"}``.
+
+``--probe`` runs the interactive stream closed-loop for ``--seconds``
+instead and prints its capacity in requests/s and the share of it that
+``rate_per_s`` is.  Details: ``perfbench/README.md``.
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ HOOK = os.path.join(HERE, "hook")
 RUNS = os.path.join(HERE, ".runs")
 
 WORKLOADS = {"solo": "serve", "fleet_2shard": "fleet"}
+
+#: Size of the probe's interactive stream, requests per ``--seconds``:
+#: above the mix's capacity on either workload, so the closed loop runs
+#: out of time, not of requests.
+PROBE_RATE_PER_S = 60
 
 
 def load_config(smoke: bool) -> Dict[str, Any]:
@@ -74,12 +84,18 @@ async def _snapshot(conn: Any, fleet: bool) -> Dict[str, Any]:
 
 
 async def drive(address: Tuple[str, int], inputs: Any, cfg: Dict[str, Any],
-                workload: str, seconds: float, traced: bool
+                workload: str, seconds: float, traced: bool, probe: bool = False
                 ) -> Tuple[List[Any], Dict[str, Dict]]:
-    """Phases 2–5 against a ready daemon; returns records and snapshots."""
+    """Phases 2–5 against a ready daemon; returns records and snapshots.
+
+    With ``probe`` the interactive stream runs closed-loop for
+    ``seconds`` instead, and requests it did not reach are dropped.
+    """
     from loadgen import Connection, Req, closed_loop, open_loop
 
     fleet = workload == "fleet_2shard"
+    # Tenant light's connections; on the fleet, batch has the other one.
+    n_light = cfg["connections"][workload]
 
     conns = [await Connection(*address, traced).open() for _ in range(2)]
     records: List[Any] = []
@@ -97,7 +113,7 @@ async def drive(address: Tuple[str, int], inputs: Any, cfg: Dict[str, Any],
         await conns[0].call(first)
         misses = [req("plan_miss", "plan", p, "cold", i)
                   for i, p in enumerate(inputs.plans[1:], start=1)]
-        await closed_loop(conns[:cfg["cold"]["cold_connections"][workload]], misses)
+        await closed_loop(conns[:n_light], misses)
         snaps["sweep_before"] = await _snapshot(conns[0], fleet)
         await conns[0].call(req("sweep", "sweep", inputs.sweep, "sweep", 0))
         snaps["sweep_after"] = await _snapshot(conns[0], fleet)
@@ -121,19 +137,22 @@ async def drive(address: Tuple[str, int], inputs: Any, cfg: Dict[str, Any],
 
         snaps["interactive_before"] = await _snapshot(conns[0], fleet)
         start = time.monotonic() + 0.05
-        if fleet:
-            spacing = seconds / max(1, len(batch))
-            await asyncio.gather(
-                open_loop(conns[:1], light, inputs.mix_offsets, start),
-                open_loop(conns[1:], batch, [i * spacing for i in range(len(batch))],
-                          start),
-            )
+        if probe:
+            stream = closed_loop(conns[:n_light], light, deadline=start + seconds)
         else:
-            await open_loop(conns, light, inputs.mix_offsets, start)
+            stream = open_loop(conns[:n_light], light, inputs.mix_offsets, start)
+        spacing = seconds / max(1, len(batch))
+        await asyncio.gather(
+            stream,
+            open_loop(conns[n_light:], batch, [i * spacing for i in range(len(batch))],
+                      start),
+        )
         snaps["interactive_after"] = await _snapshot(conns[0], fleet)
     finally:
         for c in conns:
             await c.close()
+    if probe:
+        records = [r for r in records if r.sent]
     return records, snaps
 
 
@@ -145,7 +164,8 @@ def _cpu_jiffies() -> Tuple[int, int]:
 
 
 def run_pass(cfg: Dict[str, Any], workload: str, seed: int, seconds: float,
-             traced: bool, launches: int, rundir: str) -> Dict[str, Any]:
+             traced: bool, launches: int, rundir: str,
+             probe: bool = False) -> Dict[str, Any]:
     """One full pass: set-up, phases, teardown.  No gate."""
     from daemon import Daemon
     from loadgen import make_inputs
@@ -155,7 +175,8 @@ def run_pass(cfg: Dict[str, Any], workload: str, seed: int, seconds: float,
     span_dir = os.path.join(rundir, "spans") if traced else None
     if span_dir:
         os.makedirs(span_dir, exist_ok=True)
-    inputs = make_inputs(cfg, seed, seconds)
+    rate = PROBE_RATE_PER_S if probe else cfg["interactive"]["rate_per_s"]
+    inputs = make_inputs(cfg, seed, seconds, rate)
     setups: List[float] = []
     daemon = None
     steal0, total0 = _cpu_jiffies()
@@ -168,7 +189,7 @@ def run_pass(cfg: Dict[str, Any], workload: str, seed: int, seconds: float,
             if i < launches - 1:
                 daemon.stop()
         records, snaps = asyncio.run(
-            drive(daemon.address, inputs, cfg, workload, seconds, traced))
+            drive(daemon.address, inputs, cfg, workload, seconds, traced, probe))
         rss = daemon.rss_mb()
     finally:
         if daemon is not None:
@@ -187,6 +208,28 @@ def run_pass(cfg: Dict[str, Any], workload: str, seed: int, seconds: float,
     return out
 
 
+def report_probe(records: List[Any], cfg: Dict[str, Any], workload: str,
+                 errors: List[str]) -> int:
+    """Print the interactive mix's closed-loop capacity and what share of
+    it the configured ``rate_per_s`` is."""
+    light = [r for r in records if r.phase == "interactive" and r.tenant == "light"]
+    elapsed = max(r.done for r in light) - min(r.sent for r in light)
+    capacity = sum(r.ok for r in light) / elapsed
+    service_ms = {}
+    for kind in sorted({r.kind for r in light}):
+        times = [r.done - r.sent for r in light if r.kind == kind]
+        service_ms[kind] = 1000.0 * sum(times) / len(times)
+    for err in errors:
+        print(f"perfbench: MISMATCH {err}", file=sys.stderr)
+    print(json.dumps({
+        "workload": workload, "correct": not errors, "requests": len(light),
+        "failed": sum(not r.ok for r in light), "elapsed_s": elapsed,
+        "capacity_per_s": capacity, "mean_service_ms": service_ms,
+        "utilisation_at_configured_rate": cfg["interactive"]["rate_per_s"] / capacity,
+    }))
+    return 1 if errors else 0
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
@@ -195,6 +238,8 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny inputs (for perfbench/smoke.py)")
+    parser.add_argument("--probe", action="store_true",
+                        help="measure the closed-loop capacity of the interactive mix")
     args = parser.parse_args(argv)
 
     if not os.path.isfile(os.path.join(SRC, "repro", "cli.py")):
@@ -208,11 +253,18 @@ def main(argv: List[str]) -> int:
     import report
 
     cfg = load_config(args.smoke)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
     fleet = args.workload == "fleet_2shard"
     rundir = os.path.join(RUNS, f"{args.workload}-{args.seed}-{os.getpid()}")
     shutil.rmtree(rundir, ignore_errors=True)
     os.makedirs(rundir)
     try:
+        if args.probe:
+            result = run_pass(cfg, args.workload, args.seed, args.seconds, False, 1,
+                              rundir, probe=True)
+            errors = gate.check(result["records"], cfg, args.seed, fleet)
+            return report_probe(result["records"], cfg, args.workload, errors)
         if args.trace:
             base = run_pass(cfg, args.workload, args.seed, args.seconds, False, 1,
                             os.path.join(rundir, "untraced"))
@@ -230,20 +282,21 @@ def main(argv: List[str]) -> int:
             if check["err_frac"] > cfg["self_time_tolerance_frac"]:
                 errors.append(
                     f"layer self times sum to {check['self_sum_s']:.3f}s but the "
-                    f"requests took {check['wall_s']:.3f}s ({check['lost_links']} lost links)")
-            metrics = report.per_layer(
-                records, result["snaps"], result["spans"], fleet,
-                report.trace_overhead(base["records"], result["records"]))
+                    f"requests took {check['wall_s']:.3f}s")
+            errors.extend(report.link_check(records, result["spans"], fleet))
+            metrics = report.per_layer(records, result["snaps"], result["spans"], fleet)
+            metrics.update(report.trace_overhead(base["records"], result["records"]))
             metrics.update(report.ungated_latencies(base["records"]))
             metrics["trace.self_sum_err_frac"] = check["err_frac"]
             metrics["host.steal_frac"] = result["steal_frac"]
-            units = cfg["per_layer_units"]
+            declared = bench["per_layer"]
         else:
             metrics = report.end_to_end(records, result["setups"], result["rss_mb"],
                                         cfg["limits_ms"])
-            units = cfg["end_to_end_units"]
+            declared = bench["end_to_end"]
     finally:
         shutil.rmtree(rundir, ignore_errors=True)
+    units = {m["name"]: m["unit"] for m in declared}
     for err in errors:
         print(f"perfbench: MISMATCH {err}", file=sys.stderr)
     for name in sorted(metrics):

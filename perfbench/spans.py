@@ -335,7 +335,7 @@ def attribute(by_id: Dict[str, Dict[str, Any]], children: Dict[str, List[str]],
                 stack.append((k["sid"], child_pieces[k["sid"]]))
 
 
-def _should_link(s: Dict[str, Any]) -> bool:
+def should_link(s: Dict[str, Any]) -> bool:
     """True for a parentless span that carries a key this benchmark
     stamps (client request ids, router forward ids, pool trace ids)."""
     recv = s["attrs"].get("recv")
@@ -351,9 +351,10 @@ def self_times(spans: List[Dict[str, Any]],
 
     Returns ``{"layers": {layer: s}, "wall_s": Σ root durations,
     "self_sum_s": Σ layer self times + time spent outside a parent +
-    time of spans whose link was lost, "lost": n}``.  ``self_sum_s``
-    equals ``wall_s`` when every span reached home and nested inside
-    its parent.
+    time of spans whose link was lost}``.  ``self_sum_s`` equals
+    ``wall_s`` when every span that arrived found its parent and nested
+    inside it.  A span that never arrived does not show here; its time
+    counts as its parent's self time.
     """
     by_id, children, roots, orphans = build_forest(spans)
     layers: Dict[str, float] = {}
@@ -368,13 +369,12 @@ def self_times(spans: List[Dict[str, Any]],
         for c in children.get(p["sid"], ()):
             k = by_id[c]
             outside += max(0.0, p["t0"] - k["t0"]) + max(0.0, k["t1"] - p["t1"])
-    lost = [by_id[o] for o in orphans if _should_link(by_id[o])]
+    lost = [by_id[o] for o in orphans if should_link(by_id[o])]
     return {
         "layers": layers,
         "wall_s": wall,
         "self_sum_s": sum(layers.values()) + outside
         + sum(s["t1"] - s["t0"] for s in lost),
-        "lost": len(lost),
     }
 
 
