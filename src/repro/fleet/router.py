@@ -10,17 +10,20 @@ Topology::
 The router speaks the same JSON-lines protocol as a single
 :class:`~repro.service.server.PlannerServer`, so every existing client
 (``cast-plan submit``, :class:`~repro.service.client.PlannerClient`)
-works against a fleet unchanged.  Per solve request it:
+works against a fleet unchanged.  Requests walk the same front end as
+a shard (:mod:`repro.service.frontend`), so per cacheable request it:
 
 1. normalizes the params and computes the canonical request
-   fingerprint (:func:`repro.service.fingerprint.request_fingerprint`)
-   — routing never perturbs the solve inputs, so fleet results are
-   bit-identical to a single server's;
+   fingerprint — routing never perturbs the solve inputs, so fleet
+   results are bit-identical to a single server's;
 2. answers from the **router L1 plan cache** if any shard ever solved
    this fingerprint through us — a hit on any shard serves the fleet;
 3. joins the **router-level single-flight**: identical requests
    arriving on any connection while one is being forwarded collapse to
    one shard solve, fleet-wide;
+
+and on a miss, its own compute step:
+
 4. waits for a forward slot under **per-tenant weighted fair
    queueing** (:class:`~repro.fleet.tenancy.WeightedFairScheduler`) —
    a saturating tenant queues behind itself, not in front of others;
@@ -54,7 +57,7 @@ registry and merges them — stamped with a ``shard`` label — into one
 exposition, so fleet-wide totals are one scrape and per-shard
 breakdowns are one label away.
 
-The router carries the same operational layer as a shard
+The router carries the front end's operational layer
 (:mod:`repro.obs.slo` / :mod:`repro.obs.flightrec` /
 :mod:`repro.obs.sampler`): the dispatch loop times every request and
 feeds a flight recorder that also remembers which shard served it,
@@ -68,55 +71,31 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import os
 import time
 import uuid
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Awaitable, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
-from ..cloud import resolve_provider
 from ..errors import (
-    CastError,
     FleetError,
     NoHealthyShardsError,
     ProtocolError,
     ServiceTimeoutError,
     ServiceUnavailableError,
 )
-from ..obs.flightrec import FlightRecorder, build_bundle, dump_bundle
 from ..obs.metrics import MetricsRegistry
-from ..obs.sampler import SamplingProfiler
-from ..obs.slo import (
-    BurnPolicy,
-    Objective,
-    SLOEngine,
-    Transition,
-    rollup_reports,
-)
-from ..obs.tracing import current_trace_id, span
-from ..service.cache import PlanCache
-from ..service.fingerprint import (
-    request_fingerprint,
-    sweep_fingerprint,
-    whatif_fingerprint,
-)
+from ..obs.slo import BurnPolicy, Objective, rollup_reports
+from ..obs.tracing import span
+from ..service.frontend import RequestFrontEnd
 from ..service.pool import DEFAULT_RESTARTS
 from ..service.protocol import (
     MAX_LINE_BYTES,
-    error_response,
     exception_from_payload,
     make_request,
-    ok_response,
-    parse_request,
     parse_response,
     read_message,
     send_message,
-)
-from ..service.server import (
-    _MAX_PROFILE_S,
-    _UNRECORDED_OPS,
-    _normalize_solve_params,
-    _normalize_sweep_params,
-    _normalize_whatif_params,
 )
 from ..service.sessions import normalize_delta_params, normalize_open_params
 from .hashring import ConsistentHashRing
@@ -216,7 +195,7 @@ class _ShardLink:
         self._busy.clear()
 
 
-class FleetRouter:
+class FleetRouter(RequestFrontEnd):
     """Orchestrator/router tier in front of N planner shards.
 
     Parameters
@@ -240,6 +219,22 @@ class FleetRouter:
     registry:
         Metrics registry; a fresh one per router when omitted.
     """
+
+    _METRICS = {
+        "requests": ("cast_fleet_requests_total", "Request lines received by the router"),
+        "ops": ("cast_fleet_ops_total", "Router requests by op"),
+        "events": ("cast_fleet_events_total", "Router lifecycle events by kind"),
+        "tenants": (
+            "cast_fleet_tenant_requests_total",
+            "Solve requests through the router by tenant",
+        ),
+    }
+    _label = "fleet router"
+    _request_span = "fleet.request"
+    _internal_error = FleetError
+    _internal_error_event = "internal_errors"
+    # Defined in this class body: perfbench/spans.py wraps each role's own.
+    _dispatch = RequestFrontEnd._dispatch
 
     def __init__(
         self,
@@ -265,9 +260,13 @@ class FleetRouter:
         flight_capacity: int = 512,
         flight_exemplars: int = 8,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.cache = PlanCache(capacity=cache_size)
+        super().__init__(
+            host, port, cache_size=cache_size, registry=registry,
+            slo_objectives=slo_objectives, slo_policy=slo_policy,
+            slo_clock=slo_clock, slo_eval_interval_s=slo_eval_interval_s,
+            dump_dir=dump_dir, flight_capacity=flight_capacity,
+            flight_exemplars=flight_exemplars,
+        )
         self.scheduler = WeightedFairScheduler(
             max_inflight=max_inflight,
             max_queue_per_tenant=max_queue_per_tenant,
@@ -281,70 +280,23 @@ class FleetRouter:
         self.forward_timeout_s = float(forward_timeout_s)
         self._shards: Dict[str, ShardInfo] = {}
         self._links: Dict[str, _ShardLink] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
-        self._inflight: Dict[str, "asyncio.Future[Tuple[Dict[str, Any], bool]]"] = {}
-        self._health_task: Optional["asyncio.Task[None]"] = None
         self._next_forward_id = 0
         # Streaming-session state: per-session replay log
         # ({"open": params, "deltas": [params...], "home": shard_id})
         # and a lock serializing ops per session.
         self._session_logs: Dict[str, Dict[str, Any]] = {}
         self._session_locks: Dict[str, asyncio.Lock] = {}
-
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        self._requests_total = self.metrics.counter(
-            "cast_fleet_requests_total", "Request lines received by the router"
-        )
-        self._ops = self.metrics.counter(
-            "cast_fleet_ops_total", "Router requests by op", labelnames=("op",)
-        )
-        self._events = self.metrics.counter(
-            "cast_fleet_events_total",
-            "Router lifecycle events by kind",
-            labelnames=("event",),
-        )
         self._routed = self.metrics.counter(
             "cast_fleet_routed_total",
             "Solves forwarded per shard",
             labelnames=("shard",),
         )
-        self._tenant_requests = self.metrics.counter(
-            "cast_fleet_tenant_requests_total",
-            "Solve requests through the router by tenant",
-            labelnames=("tenant",),
-        )
         self._solve_seconds = self.metrics.histogram(
             "cast_fleet_solve_seconds",
             "End-to-end router wall time of non-L1-cached solves",
         )
-        self._op_latency = self.metrics.histogram(
-            "cast_op_latency_seconds",
-            "Wire-level request latency by op",
-            labelnames=("op",),
-        )
-        self._op_requests = self.metrics.counter(
-            "cast_op_requests_total",
-            "Wire-level requests by op and outcome",
-            labelnames=("op", "outcome"),
-        )
-        self.cache.bind_metrics(self.metrics)
         self.scheduler.bind_metrics(self.metrics)
         self.metrics.register_collector("fleet_shards", self._mirror_shards)
-
-        self.recorder = FlightRecorder(
-            capacity=flight_capacity, exemplars=flight_exemplars
-        )
-        self.recorder.bind_metrics(self.metrics)
-        self.dump_dir = dump_dir
-        self.slo_eval_interval_s = float(slo_eval_interval_s)
-        self.slo = SLOEngine(
-            slo_objectives, policy=slo_policy, clock=slo_clock
-        )
-        self.slo.bind_metrics(self.metrics)
-        self.slo.on_transition(self._on_slo_transition)
-        self._slo_task: Optional["asyncio.Task[None]"] = None
-        self._started_at = time.monotonic()
 
     def _mirror_shards(self, reg: MetricsRegistry) -> None:
         states = reg.gauge(
@@ -479,218 +431,20 @@ class FleetRouter:
 
     async def start(self) -> None:
         """Bind, start accepting connections, start the health loop."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = time.monotonic()
+        await super().start()
         if self.health_interval_s > 0:
-            self._health_task = asyncio.create_task(self._health_loop())
-        if self.slo_eval_interval_s > 0:
-            self._slo_task = asyncio.create_task(self._slo_loop())
-        logger.info("fleet router listening on %s:%d", self.host, self.port)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — port resolved after :meth:`start`."""
-        return (self.host, self.port)
-
-    async def serve_forever(self) -> None:
-        """Block serving requests until cancelled or :meth:`stop`-ped."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+            self._background.append(asyncio.create_task(self._health_loop()))
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, drain forwards, drop links."""
-        if self._slo_task is not None:
-            self._slo_task.cancel()
-            try:
-                await self._slo_task
-            except asyncio.CancelledError:
-                pass
-            self._slo_task = None
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._inflight:
-            await asyncio.gather(
-                *list(self._inflight.values()), return_exceptions=True
-            )
-        for writer in list(self._connections):
-            writer.close()
+        await super().stop()
         for link in self._links.values():
             link.close()
         self._links.clear()
-        logger.info("fleet router stopped")
 
-    # -- connection handling -------------------------------------------------
+    # -- router ops ----------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                line = await read_message(reader)
-                if line is None:
-                    break
-                if not line.strip():
-                    continue
-                self._requests_total.inc()
-                try:
-                    request = parse_request(line)
-                except ProtocolError as exc:
-                    self._events.inc(event="bad_requests")
-                    logger.debug("bad request line: %s", exc)
-                    await send_message(writer, error_response(None, exc))
-                    continue
-                response = await self._dispatch(request)
-                await send_message(writer, response)
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
-
-    async def _dispatch(self, request: Mapping[str, Any]) -> Dict[str, Any]:
-        op = request["op"]
-        req_id = request.get("id")
-        params = request["params"]
-        self._ops.inc(op=op)
-        with span("fleet.request", attrs={"op": op}) as sp:
-            started = time.monotonic()
-            try:
-                response = await self._dispatch_inner(op, req_id, params)
-            except asyncio.CancelledError:
-                raise
-            except CastError as exc:
-                response = error_response(req_id, exc)
-            except Exception as exc:  # the router must outlive any request
-                self._events.inc(event="internal_errors")
-                logger.exception("internal error handling op %r", op)
-                response = error_response(
-                    req_id, FleetError(f"internal error: {exc!r}")
-                )
-            response["trace_id"] = sp.trace_id
-            self._record_request(
-                op, params, response, time.monotonic() - started, sp.trace_id
-            )
-            return response
-
-    def _record_request(
-        self,
-        op: str,
-        params: Mapping[str, Any],
-        response: Mapping[str, Any],
-        latency_s: float,
-        trace_id: Optional[str],
-    ) -> None:
-        """Per-op latency/outcome metrics + one flight-recorder record.
-
-        Mirrors the shard-side recorder but also remembers *which
-        shard* served each routed request — a fleet postmortem needs
-        the culprit, not just the symptom.
-        """
-        ok = bool(response.get("ok"))
-        self._op_latency.observe(latency_s, op=op)
-        self._op_requests.inc(op=op, outcome="ok" if ok else "error")
-        if op in _UNRECORDED_OPS:
-            return
-        error = None
-        if not ok:
-            error = str(response.get("error", {}).get("type", "error"))
-        shard = None
-        result = response.get("result")
-        if isinstance(result, Mapping):
-            shard = result.get("shard")
-        tenant = params.get("tenant")
-        self.recorder.record(
-            op=op,
-            latency_s=latency_s,
-            ok=ok,
-            cached=bool(response.get("cached", False)),
-            tenant=str(tenant) if tenant is not None else None,
-            shard=str(shard) if shard is not None else None,
-            error=error,
-            trace_id=trace_id,
-        )
-
-    async def _dispatch_inner(
-        self, op: str, req_id: Any, params: Mapping[str, Any]
-    ) -> Dict[str, Any]:
-        if op == "ping":
-            return ok_response(req_id, {"pong": True, "uptime_s": self.uptime_s})
-        if op == "stats":
-            return ok_response(req_id, self.stats())
-        if op == "metrics":
-            return ok_response(req_id, await self._metrics_op(params))
-        if op == "slo":
-            return ok_response(req_id, await self._slo_op(params))
-        if op == "profile":
-            return ok_response(req_id, await self._profile_op(params))
-        if op == "debug_dump":
-            return ok_response(req_id, self._debug_dump_op(params))
-        if op == "catalog":
-            return ok_response(req_id, self._catalog(params))
-        if op == "register":
-            return ok_response(req_id, self._register_op(params))
-        if op == "deregister":
-            shard_id = str(params.get("shard_id", ""))
-            removed = self.remove_shard(shard_id)
-            return ok_response(req_id, {"shard_id": shard_id, "removed": removed})
-        if op == "whatif":
-            result, cached = await self._whatif_op(params)
-            return ok_response(req_id, result, cached=cached)
-        if op == "sweep":
-            result, cached = await self._sweep_op(params)
-            return ok_response(req_id, result, cached=cached)
-        if op in ("session_open", "session_delta", "session_close"):
-            return ok_response(req_id, await self._session_op(op, params))
-        result, cached = await self._solve_op(op, params)
-        return ok_response(req_id, result, cached=cached)
-
-    # -- simple ops ----------------------------------------------------------
-
-    def _catalog(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        provider = resolve_provider(str(params.get("provider", "google")))
-        tiers = []
-        for tier in provider.tiers:
-            svc = provider.service(tier)
-            tiers.append(
-                {
-                    "tier": tier.value,
-                    "persistent": bool(svc.persistent),
-                    "price_gb_month": svc.price_gb_month,
-                    "price_gb_hr": provider.storage_price_gb_hr(tier),
-                }
-            )
-        return {
-            "provider": provider.name,
-            "tiers": tiers,
-            "vm": {
-                "name": provider.default_vm.name,
-                "price_per_hour_usd": provider.prices.vm_price_per_min * 60,
-            },
-        }
-
-    def _register_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    async def _op_register(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         shard_id = params.get("shard_id")
         host = params.get("host")
         port = params.get("port")
@@ -705,7 +459,11 @@ class FleetRouter:
         info = self.add_shard(str(shard_id), str(host), port)
         return {"shard": info.to_dict(), "ring": self.ring.shards()}
 
-    async def _metrics_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    async def _op_deregister(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        shard_id = str(params.get("shard_id", ""))
+        return {"shard_id": shard_id, "removed": self.remove_shard(shard_id)}
+
+    async def _op_metrics(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         fmt = str(params.get("format", "prometheus")).lower()
         scope = str(params.get("scope", "fleet")).lower()
         if fmt not in ("prometheus", "json"):
@@ -744,28 +502,35 @@ class FleetRouter:
         """
         fleet = MetricsRegistry()
         fleet.merge(self.metrics.snapshot(), extra_labels={"shard": "router"})
+        scraped = await self._scrape("metrics", {"format": "json"}, "scrape")
+        for shard_id, result in scraped.items():
+            fleet.merge(result["metrics"], extra_labels={"shard": shard_id})
+        return fleet
+
+    async def _scrape(
+        self, op: str, params: Mapping[str, Any], req_id: str
+    ) -> Dict[str, Dict[str, Any]]:
+        """``op`` on every healthy shard at once: ``{shard: result}`` for
+        the shards that answered ok; a failed scrape is counted and
+        skipped."""
+        results: Dict[str, Dict[str, Any]] = {}
 
         async def scrape(shard_id: str) -> None:
             try:
                 response = await self._link(shard_id).request(
-                    make_request("metrics", {"format": "json"}, req_id="scrape"),
+                    make_request(op, params, req_id=req_id),
                     timeout=self.health_timeout_s,
                 )
             except (OSError, asyncio.TimeoutError, ProtocolError):
                 self._events.inc(event="scrape_failed")
                 return
             if response.get("ok"):
-                fleet.merge(
-                    response["result"]["metrics"],
-                    extra_labels={"shard": shard_id},
-                )
+                results[shard_id] = response["result"]
 
         await asyncio.gather(*(scrape(s) for s in self.healthy_shards))
-        return fleet
+        return results
 
-    # -- operational ops -----------------------------------------------------
-
-    async def _slo_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    async def _op_slo(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         """The fleet ``slo`` op: worst-shard roll-up.
 
         Evaluates the router's own engine (over its wire-level
@@ -783,59 +548,10 @@ class FleetRouter:
                 f"unknown slo scope {scope!r} (expected 'fleet' or 'router')"
             )
         reports: Dict[str, Mapping[str, Any]] = {"router": own}
-
-        async def scrape(shard_id: str) -> None:
-            try:
-                response = await self._link(shard_id).request(
-                    make_request("slo", {}, req_id="slo-scrape"),
-                    timeout=self.health_timeout_s,
-                )
-            except (OSError, asyncio.TimeoutError, ProtocolError):
-                self._events.inc(event="scrape_failed")
-                return
-            if response.get("ok"):
-                reports[shard_id] = response["result"]
-
-        await asyncio.gather(*(scrape(s) for s in self.healthy_shards))
+        reports.update(await self._scrape("slo", {}, "slo-scrape"))
         rollup = rollup_reports(reports)
         rollup["policy"] = self.slo.policy.to_dict()
         return rollup
-
-    async def _profile_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The ``profile`` op: sample the *router* process.
-
-        Shard solver time never shows up here — point ``cast-plan
-        profile`` at a shard's own port for that.
-        """
-        try:
-            duration_s = float(params.get("duration_s", 1.0))
-            interval_s = float(params.get("interval_s", 0.005))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad profile params: {exc}") from None
-        if not 0.0 < duration_s <= _MAX_PROFILE_S:
-            raise ProtocolError(
-                f"profile duration_s must be in (0, {_MAX_PROFILE_S:g}], "
-                f"got {duration_s}"
-            )
-        if interval_s <= 0:
-            raise ProtocolError(
-                f"profile interval_s must be > 0, got {interval_s}"
-            )
-        profiler = SamplingProfiler(interval_s=interval_s)
-        return await asyncio.to_thread(profiler.run_for, duration_s)
-
-    def _debug_dump_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The ``debug_dump`` op: the router's postmortem bundle."""
-        return self._build_bundle(reason=str(params.get("reason", "request")))
-
-    def _build_bundle(self, reason: str) -> Dict[str, Any]:
-        return build_bundle(
-            registry=self.metrics,
-            recorder=self.recorder,
-            slo_report=self.slo.last_report,
-            config=self._config_payload(),
-            reason=reason,
-        )
 
     def _config_payload(self) -> Dict[str, Any]:
         return {
@@ -853,112 +569,89 @@ class FleetRouter:
             "dump_dir": self.dump_dir,
         }
 
-    def _on_slo_transition(self, edge: Transition) -> None:
-        """Engine callback: auto-dump a bundle on every page entry."""
-        logger.warning("SLO %s: %s -> %s", edge.op, edge.old, edge.new)
-        if edge.new != "page":
-            return
-        path = self._write_dump(reason=f"page-{edge.op}")
-        if path is not None:
-            logger.warning("SLO page on %s: wrote debug dump %s", edge.op, path)
+    # -- the forward path ----------------------------------------------------
 
-    def _write_dump(self, reason: str) -> Optional[str]:
-        """Write one bundle into ``dump_dir`` (None = dumping disabled)."""
-        if not self.dump_dir:
-            return None
+    async def _compute(
+        self, op: str, normalized: Dict[str, Any], fingerprint: str
+    ) -> Dict[str, Any]:
+        """A cache miss: wait for a fair-queue slot, then forward to the
+        fingerprint's ring owner.  A sweep is deliberately NOT split
+        across shards — its amortization (shared catalog tensors,
+        warm-start donors) lives inside one engine."""
+        tenant = normalized["tenant"]
+        params = {k: v for k, v in normalized.items() if k != "op"}
+        await self.scheduler.acquire(tenant)
         try:
-            os.makedirs(self.dump_dir, exist_ok=True)
-            stamp = int(time.time() * 1000)
-            path = os.path.join(
-                self.dump_dir, f"castdump-{stamp}-{reason}.jsonl"
-            )
-            dump_bundle(path, self._build_bundle(reason=reason))
-            self._events.inc(event="debug_dumps")
-            return path
-        except OSError:
-            logger.exception("failed to write debug dump; continuing")
-            return None
+            started = time.monotonic()
+            result = await self._forward(op, params, fingerprint)
+            self._solve_seconds.observe(time.monotonic() - started)
+        finally:
+            self.scheduler.release(tenant)
+        self._events.inc(event="solves_ok")
+        return result
 
-    async def _slo_loop(self) -> None:
-        """Background tick over the router's own engine (states must
-        decay back to ``ok`` without traffic forcing an evaluation)."""
-        while True:
-            await asyncio.sleep(self.slo_eval_interval_s)
-            try:
-                self.slo.evaluate(registry=self.metrics)
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # pragma: no cover - defensive
-                logger.exception("SLO evaluation failed; continuing")
+    async def _forward(
+        self,
+        op: str,
+        params: Mapping[str, Any],
+        key: str,
+        before: Optional[Callable[[str], Awaitable[None]]] = None,
+    ) -> Dict[str, Any]:
+        """Forward to ``ring.route(key)``, walking successors on shard death.
 
-    # -- the solve path ------------------------------------------------------
-
-    async def _solve_op(
-        self, op: str, params: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        normalized = _normalize_solve_params(op, params)
-        restarts = normalized["restarts"] or self.default_restarts
-        # Pin the resolved restart count so the shard-side fingerprint
-        # (and therefore its cache) agrees with the router's key.
-        normalized["restarts"] = restarts
-        fingerprint = request_fingerprint(
-            op,
-            normalized["spec"],
-            provider=normalized["provider"],
-            n_vms=normalized["n_vms"],
-            iterations=normalized["iterations"],
-            seed=normalized["seed"],
-            use_castpp=normalized["use_castpp"],
-            restarts=restarts,
-            backend=normalized["backend"],
-            replicas=normalized["replicas"],
-        )
-        return await self._route_request(op, normalized, fingerprint)
-
-    async def _whatif_op(
-        self, params: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        """``whatif`` through the fleet: same L1 cache, single-flight
-        and fair-queueing path as the solve ops; only the fingerprint
-        (and the downstream shard handler) differ."""
-        normalized = _normalize_whatif_params(params)
-        fingerprint = whatif_fingerprint(
-            normalized["spec"],
-            plan=normalized["plan"],
-            tier=normalized["tier"],
-            provider=normalized["provider"],
-            n_vms=normalized["n_vms"],
-            fast=normalized["fast"],
-        )
-        return await self._route_request("whatif", normalized, fingerprint)
-
-    async def _sweep_op(
-        self, params: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        """``sweep`` through the fleet: one shard runs the whole grid.
-
-        The sweep's amortization (shared catalog tensors, warm-start
-        donors) lives inside one engine, so the grid is deliberately
-        NOT split across shards — the fingerprint routes the sweep to
-        a single shard, which fans waves over its own process pool.
-        L1 cache, single-flight and fair queueing as for solves.
+        ``before(shard_id)`` runs first on each attempt, inside the same
+        failover net (session replay onto a new owner).  Only
+        *transport* failures fail over — a typed error response (bad
+        workload, shard busy, solve timeout) is an answer about this
+        request, deterministic on any shard, and propagates as-is.
         """
-        normalized = _normalize_sweep_params(params)
-        fingerprint = sweep_fingerprint(
-            normalized["specs"],
-            normalized["providers"],
-            reps=normalized["reps"],
-            n_vms=normalized["n_vms"],
-            iterations=normalized["iterations"],
-            seed=normalized["seed"],
-            use_castpp=normalized["use_castpp"],
-            backend=normalized["backend"],
-            replicas=normalized["replicas"],
-            warm=normalized["warm"],
-        )
-        return await self._route_request("sweep", normalized, fingerprint)
+        attempts = 0
+        max_attempts = max(1, len(self._shards))
+        while True:
+            if len(self.ring) == 0:
+                raise NoHealthyShardsError(
+                    f"no healthy shards to route {op!r} "
+                    f"({len(self._shards)} registered, all down)"
+                )
+            shard_id = self.ring.route(key)
+            self._next_forward_id += 1
+            payload = make_request(op, params, req_id=f"f{self._next_forward_id}")
+            with span(
+                "fleet.forward", attrs={"op": op, "shard": shard_id}
+            ):
+                try:
+                    if before is not None:
+                        await before(shard_id)
+                    response = await self._link(shard_id).request(
+                        payload, timeout=self.forward_timeout_s
+                    )
+                except asyncio.TimeoutError:
+                    raise ServiceTimeoutError(
+                        f"forward to shard {shard_id} exceeded "
+                        f"{self.forward_timeout_s:.0f}s"
+                    ) from None
+                except (ConnectionError, OSError) as exc:
+                    attempts += 1
+                    self._mark_down(shard_id, f"forward failed: {exc!r}")
+                    self._events.inc(event="failovers")
+                    if attempts >= max_attempts:
+                        raise NoHealthyShardsError(
+                            f"every shard failed while routing {op!r} "
+                            f"(last: {shard_id}: {exc!r})"
+                        ) from exc
+                    continue
+            self._routed.inc(shard=shard_id)
+            if response.get("ok"):
+                result = dict(response["result"])
+                result["shard"] = shard_id
+                return result
+            raise exception_from_payload(response["error"])
 
     # -- streaming sessions --------------------------------------------------
+    #
+    # Sessions bypass the L1 cache / single-flight / fair queue: a delta
+    # is stateful, milliseconds of shard work, and never equivalent to
+    # another request.
 
     def _session_lock(self, session_id: str) -> asyncio.Lock:
         lock = self._session_locks.get(session_id)
@@ -966,46 +659,38 @@ class FleetRouter:
             lock = self._session_locks[session_id] = asyncio.Lock()
         return lock
 
-    async def _session_op(self, op: str, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """Route one session op to its pinned shard (replaying on failover).
+    async def _op_session_open(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        normalized = normalize_open_params(params)
+        session_id = (
+            normalized["session_id"] or f"session-{uuid.uuid4().hex[:12]}"
+        )
+        forward = {k: v for k, v in normalized.items() if v is not None}
+        forward["session_id"] = session_id
+        async with self._session_lock(session_id):
+            # Opening an existing id replaces the session — start a
+            # fresh log either way.
+            log = {"open": dict(forward), "deltas": [], "home": None}
+            self._session_logs[session_id] = log
+            return await self._forward_session("session_open", forward, session_id)
 
-        Sessions bypass the L1 cache / single-flight / fair queue: a
-        delta is stateful, milliseconds of shard work, and never
-        equivalent to another request.
-        """
-        if op == "session_open":
-            normalized = normalize_open_params(params)
-            session_id = (
-                normalized["session_id"] or f"session-{uuid.uuid4().hex[:12]}"
-            )
-            forward = {
-                k: v for k, v in normalized.items() if v is not None
-            }
-            forward["session_id"] = session_id
-            async with self._session_lock(session_id):
-                # Opening an existing id replaces the session — start a
-                # fresh log either way.
-                log = {"open": dict(forward), "deltas": [], "home": None}
-                self._session_logs[session_id] = log
-                result = await self._forward_session(op, forward, session_id)
-            return result
+    async def _op_session_delta(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        normalized = normalize_delta_params(params)
+        session_id = normalized["session_id"]
+        forward = {k: v for k, v in normalized.items() if v is not None}
+        async with self._session_lock(session_id):
+            log = self._session_logs.get(session_id)
+            result = await self._forward_session("session_delta", forward, session_id)
+            if log is not None:
+                log["deltas"].append(dict(forward))
+        return result
+
+    async def _op_session_close(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         session_id = str(params.get("session_id") or "")
-        if op == "session_delta":
-            normalized = normalize_delta_params(params)
-            session_id = normalized["session_id"]
-            forward = {k: v for k, v in normalized.items() if v is not None}
-            async with self._session_lock(session_id):
-                log = self._session_logs.get(session_id)
-                result = await self._forward_session(op, forward, session_id)
-                if log is not None:
-                    log["deltas"].append(dict(forward))
-            return result
-        # session_close
         if not session_id:
             raise ProtocolError("session_close params need a 'session_id'")
         async with self._session_lock(session_id):
             result = await self._forward_session(
-                op, {"session_id": session_id}, session_id
+                "session_close", {"session_id": session_id}, session_id
             )
             self._session_logs.pop(session_id, None)
         self._session_locks.pop(session_id, None)
@@ -1048,176 +733,23 @@ class FleetRouter:
 
         When the ring owner is not the shard holding the session's
         state (first contact after a failover or ring churn), the
-        session log replays there first.  Transport failures mark the
-        shard down and walk the ring, exactly like the solve path.
+        session log replays there first.
         """
-        key = f"session:{session_id}"
-        attempts = 0
-        max_attempts = max(1, len(self._shards))
-        while True:
-            if len(self.ring) == 0:
-                raise NoHealthyShardsError(
-                    f"no healthy shards to route {op!r} "
-                    f"({len(self._shards)} registered, all down)"
-                )
-            shard_id = self.ring.route(key)
+
+        async def replay_if_moved(shard_id: str) -> None:
             log = self._session_logs.get(session_id)
-            self._next_forward_id += 1
-            payload = make_request(op, params, req_id=f"f{self._next_forward_id}")
-            with span(
-                "fleet.forward", attrs={"op": op, "shard": shard_id}
-            ):
-                try:
-                    if (
-                        log is not None
-                        and op != "session_open"
-                        and log.get("home") != shard_id
-                    ):
-                        await self._replay_session(shard_id, session_id, log)
-                    response = await self._link(shard_id).request(
-                        payload, timeout=self.forward_timeout_s
-                    )
-                except asyncio.TimeoutError:
-                    raise ServiceTimeoutError(
-                        f"forward to shard {shard_id} exceeded "
-                        f"{self.forward_timeout_s:.0f}s"
-                    ) from None
-                except (ConnectionError, OSError) as exc:
-                    attempts += 1
-                    self._mark_down(shard_id, f"forward failed: {exc!r}")
-                    self._events.inc(event="failovers")
-                    if attempts >= max_attempts:
-                        raise NoHealthyShardsError(
-                            f"every shard failed while routing {op!r} "
-                            f"(last: {shard_id}: {exc!r})"
-                        ) from exc
-                    continue
-            self._routed.inc(shard=shard_id)
-            if response.get("ok"):
-                if log is not None:
-                    log["home"] = shard_id
-                result = dict(response["result"])
-                result["shard"] = shard_id
-                return result
-            raise exception_from_payload(response["error"])
+            if log is not None and op != "session_open" and log["home"] != shard_id:
+                await self._replay_session(shard_id, session_id, log)
 
-    async def _route_request(
-        self, op: str, normalized: Dict[str, Any], fingerprint: str
-    ) -> Tuple[Dict[str, Any], bool]:
-        """Cache → single-flight → fair queue → ring forward, shared by
-        every forwarded op."""
-        tenant = normalized["tenant"]
-        self._tenant_requests.inc(tenant=tenant)
-
-        cached = self.cache.get(fingerprint)
-        if cached is not None:
-            return dict(
-                cached, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), True
-
-        leader = self._inflight.get(fingerprint)
-        if leader is not None:
-            self._events.inc(event="dedup_joined")
-            result, _ = await asyncio.shield(leader)
-            return dict(
-                result, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), False
-
-        future: "asyncio.Future[Tuple[Dict[str, Any], bool]]" = (
-            asyncio.get_running_loop().create_future()
+        result = await self._forward(
+            op, params, f"session:{session_id}", before=replay_if_moved
         )
-        self._inflight[fingerprint] = future
-        try:
-            await self.scheduler.acquire(tenant)
-            try:
-                started = time.monotonic()
-                result, shard_cached = await self._forward_with_failover(
-                    op, normalized, fingerprint
-                )
-                self._solve_seconds.observe(time.monotonic() - started)
-            finally:
-                self.scheduler.release(tenant)
-            result = dict(result)
-            self.cache.put(fingerprint, result)
-            self._events.inc(event="solves_ok")
-            future.set_result((result, shard_cached))
-        except BaseException as exc:
-            if isinstance(exc, CastError):
-                self._events.inc(event="solve_errors")
-            future.set_exception(exc)
-            future.exception()  # dedup waiters consume it; silence the loop
-            raise
-        finally:
-            self._inflight.pop(fingerprint, None)
-        return dict(result, fingerprint=fingerprint), False
-
-    def _forward_params(self, normalized: Mapping[str, Any]) -> Dict[str, Any]:
-        params = {k: v for k, v in normalized.items() if k != "op"}
-        return params
-
-    async def _forward_with_failover(
-        self, op: str, normalized: Mapping[str, Any], fingerprint: str
-    ) -> Tuple[Dict[str, Any], bool]:
-        """Forward to the ring owner, walking successors on shard death.
-
-        Only *transport* failures fail over — a typed error response
-        (bad workload, shard busy, solve timeout) is an answer about
-        this request, deterministic on any shard, and propagates as-is.
-        """
-        params = self._forward_params(normalized)
-        attempts = 0
-        max_attempts = max(1, len(self._shards))
-        while True:
-            if len(self.ring) == 0:
-                raise NoHealthyShardsError(
-                    f"no healthy shards to route {op!r} "
-                    f"({len(self._shards)} registered, all down)"
-                )
-            shard_id = self.ring.route(fingerprint)
-            self._next_forward_id += 1
-            payload = make_request(op, params, req_id=f"f{self._next_forward_id}")
-            with span(
-                "fleet.forward", attrs={"op": op, "shard": shard_id}
-            ):
-                try:
-                    response = await self._link(shard_id).request(
-                        payload, timeout=self.forward_timeout_s
-                    )
-                except asyncio.TimeoutError:
-                    raise ServiceTimeoutError(
-                        f"forward to shard {shard_id} exceeded "
-                        f"{self.forward_timeout_s:.0f}s"
-                    ) from None
-                except (ConnectionError, OSError) as exc:
-                    attempts += 1
-                    self._mark_down(shard_id, f"forward failed: {exc!r}")
-                    self._events.inc(event="failovers")
-                    if attempts >= max_attempts:
-                        raise NoHealthyShardsError(
-                            f"every shard failed while routing {op!r} "
-                            f"(last: {shard_id}: {exc!r})"
-                        ) from exc
-                    continue
-            self._routed.inc(shard=shard_id)
-            if response.get("ok"):
-                result = dict(response["result"])
-                result["shard"] = shard_id
-                return result, bool(response.get("cached", False))
-            raise exception_from_payload(response["error"])
+        log = self._session_logs.get(session_id)
+        if log is not None:
+            log["home"] = result["shard"]
+        return result
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def uptime_s(self) -> float:
-        """Seconds since :meth:`start`."""
-        return time.monotonic() - self._started_at
-
-    @property
-    def op_counts(self) -> Dict[str, int]:
-        """Requests per op, from ``cast_fleet_ops_total``."""
-        return {
-            labels["op"]: int(value) for labels, value in self._ops.samples()
-        }
 
     @property
     def counters(self) -> Dict[str, int]:

@@ -13,8 +13,11 @@ work across requests:
   eviction counters;
 * :mod:`repro.service.pool` — multi-start simulated-annealing solver
   pool on a ``ProcessPoolExecutor`` (deterministic per seed);
-* :mod:`repro.service.server` — asyncio TCP server with single-flight
-  dedup, backpressure, per-request timeouts, graceful shutdown;
+* :mod:`repro.service.frontend` — the request front end the server and
+  the fleet router share: connection loop, op table, fingerprint cache
+  with single-flight dedup, operational ops;
+* :mod:`repro.service.server` — asyncio TCP server: backpressure,
+  per-request timeouts, the solver pool, graceful shutdown;
 * :mod:`repro.service.client` — async and sync clients.
 
 Everything is stdlib + the package's existing numpy dependency: no new

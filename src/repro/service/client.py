@@ -30,7 +30,7 @@ import asyncio
 import random
 from typing import Any, Dict, Mapping, Optional, Sequence
 
-from ..errors import ServiceUnavailableError
+from ..errors import ProtocolError, ServiceUnavailableError
 from .protocol import (
     MAX_LINE_BYTES,
     exception_from_payload,
@@ -172,7 +172,13 @@ class PlannerClient:
         self._next_id += 1
         req = make_request(op, params, req_id=f"c{self._next_id}")
         await send_message(self._writer, req)
-        line = await read_message(self._reader)
+        try:
+            line = await read_message(self._reader)
+        except ProtocolError:
+            # An oversized reply: its tail is still unread, so the
+            # framing of this connection is lost.
+            await self.close()
+            raise
         if line is None:
             raise ServiceUnavailableError("server closed the connection mid-request")
         return parse_response(line)

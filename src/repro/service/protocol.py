@@ -204,10 +204,16 @@ async def send_message(writer: asyncio.StreamWriter, obj: Mapping[str, Any]) -> 
 
 
 async def read_message(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """Read one raw message line; ``None`` on a clean EOF."""
+    """Read one raw message line; ``None`` on a clean EOF.
+
+    Raises :class:`ProtocolError` for a line over the reader's limit.
+    """
     try:
         line = await reader.readline()
-    except asyncio.LimitOverrunError:  # pragma: no cover - requires huge lines
+    except ValueError:
+        # readline() reports the stream's LimitOverrunError as a bare
+        # ValueError; the rest of the line is still unread, so the
+        # caller must drop the connection.
         raise ProtocolError(f"message exceeds {MAX_LINE_BYTES} bytes") from None
     if not line:
         return None

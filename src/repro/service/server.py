@@ -1,20 +1,21 @@
 """The planner daemon: an asyncio TCP server over the solver pool.
 
-Request lifecycle for the solve ops (``plan`` / ``plan_workflow``)::
+Requests walk the shared front end (:mod:`repro.service.frontend`):
+parse, dispatch, fingerprint cache and single-flight.  What the daemon
+adds is how a cache miss is computed:
 
-    parse → normalize params → fingerprint
-          → cache hit?            → answer from the LRU, no solver work
-          → identical solve inflight? → await it (single-flight dedup)
-          → admission check       → reject with ServiceBusyError when
-                                    inflight + queued > the limits
-          → multi-start solve on the pool, under a per-request timeout
-          → cache + fan the result out to every waiter
+* ``plan`` / ``plan_workflow``: an admission check (reject with
+  ServiceBusyError when inflight + queued > the limits), then a
+  multi-start solve on the pool under a per-request timeout;
+* ``whatif`` / ``sweep``: one simulation pass or sweep grid on a worker
+  thread, never through the pool and never shed;
+
+plus its own state: the solver pool and the streaming sessions.
 
 Single-flight dedup means a burst of identical requests — the common
 shape for a planning service, since tenants re-submit recurring
 workloads — costs exactly one solve; everyone else awaits the leader's
-future.  Failures propagate to all waiters but are *not* cached, so a
-transient failure doesn't poison the fingerprint.
+future.
 
 The server is one asyncio loop; all heavy work happens in the pool's
 worker processes, so the loop stays responsive for ``ping``/``stats``
@@ -29,54 +30,33 @@ evaluator totals.  The ``metrics`` op exposes it (Prometheus text or
 JSON); the legacy ``stats`` payload is now *derived* from the registry,
 byte-compatible with the old hand-rolled dicts.  Each request runs
 inside a ``service.request`` span and every response carries its
-``trace_id``.
-
-On top of the raw registry sits the operational layer: the dispatch
-loop times every request into ``cast_op_latency_seconds{op}`` /
-``cast_op_requests_total{op,outcome}`` and the flight recorder's ring
-(:mod:`repro.obs.flightrec`), an :class:`~repro.obs.slo.SLOEngine`
-evaluates burn rates from those series (the ``slo`` op; a background
-tick when ``slo_eval_interval_s`` > 0), a ``page`` transition
-auto-writes a JSONL postmortem bundle into ``dump_dir``, the
-``profile`` op runs the sampling profiler, and ``debug_dump`` returns
-a bundle over the wire.
+``trace_id``.  The operational layer (per-op latency, flight recorder,
+SLO engine, page dumps, ``profile``, ``debug_dump``) is the front
+end's.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-import os
 import time
-from typing import Any, Dict, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from ..cloud import resolve_provider
 from ..errors import (
-    CastError,
     ProtocolError,
     ServiceBusyError,
     ServiceError,
     ServiceTimeoutError,
 )
-from ..obs.flightrec import FlightRecorder, build_bundle, dump_bundle
 from ..obs.metrics import MetricsRegistry
-from ..obs.sampler import SamplingProfiler
-from ..obs.slo import BurnPolicy, Objective, SLOEngine, Transition
-from ..obs.tracing import current_trace_id, span
+from ..obs.slo import BurnPolicy, Objective
+from ..obs.tracing import span
 from ..simulator.cache import register_metrics as register_sim_cache_metrics
 from ..simulator.vectorized import register_fastpath_metrics
-from .cache import PlanCache
-from .fingerprint import request_fingerprint, sweep_fingerprint, whatif_fingerprint
+from .frontend import RequestFrontEnd
 from .pool import SolverPool
 from .sessions import SessionManager
-from .protocol import (
-    MAX_LINE_BYTES,
-    error_response,
-    ok_response,
-    parse_request,
-    read_message,
-    send_message,
-)
 
 __all__ = ["PlannerServer"]
 
@@ -93,120 +73,6 @@ _EVENT_KEYS = (
     "rejected",
 )
 
-#: Ops excluded from the flight-recorder ring: monitoring traffic (a
-#: dashboard polling every 2 s) must not evict the solve records a
-#: postmortem actually needs.  Their latencies still land in
-#: ``cast_op_latency_seconds`` like everyone else's.
-_UNRECORDED_OPS = frozenset(
-    ("ping", "stats", "metrics", "slo", "profile", "debug_dump")
-)
-
-#: ``profile`` op duration ceiling — the op blocks a worker thread for
-#: its whole duration, so an unbounded request would be a free DoS.
-_MAX_PROFILE_S = 30.0
-
-
-def _normalize_solve_params(op: str, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Fill knob defaults and type-check the envelope-level fields.
-
-    Spec-level validation (job records, DAG shape...) happens inside
-    fingerprinting/solving and raises ``WorkloadError`` on its own.
-    """
-    spec = params.get("spec")
-    if not isinstance(spec, Mapping):
-        raise ProtocolError(f"{op} params need a 'spec' object (a workload/workflow dict)")
-    try:
-        return {
-            "op": op,
-            "spec": dict(spec),
-            "tenant": str(params.get("tenant", "default")),
-            "provider": str(params.get("provider", "google")),
-            "n_vms": int(params.get("n_vms", 25)),
-            "iterations": int(params.get("iterations", 3000)),
-            "seed": int(params.get("seed", 42)),
-            "use_castpp": bool(params.get("use_castpp", True)),
-            "backend": str(params.get("backend", "anneal")),
-            "replicas": int(params.get("replicas", 8)),
-            "restarts": (
-                None if params.get("restarts") is None else int(params["restarts"])
-            ),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad solver knob in {op} params: {exc}") from None
-
-
-def _normalize_whatif_params(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validate the ``whatif`` envelope: a spec plus exactly one tiering."""
-    spec = params.get("spec")
-    if not isinstance(spec, Mapping):
-        raise ProtocolError("whatif params need a 'spec' object (a workload dict)")
-    plan = params.get("plan")
-    tier = params.get("tier")
-    if (plan is None) == (tier is None):
-        raise ProtocolError(
-            "whatif params need exactly one of 'plan' (a tiering-plan dict) "
-            "or 'tier' (a uniform tier name)"
-        )
-    if plan is not None and not isinstance(plan, Mapping):
-        raise ProtocolError("whatif 'plan' must be an object")
-    try:
-        return {
-            "spec": dict(spec),
-            "plan": None if plan is None else dict(plan),
-            "tier": None if tier is None else str(tier),
-            "tenant": str(params.get("tenant", "default")),
-            "provider": str(params.get("provider", "google")),
-            "n_vms": int(params.get("n_vms", 25)),
-            "fast": bool(params.get("fast", True)),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad knob in whatif params: {exc}") from None
-
-
-def _normalize_sweep_params(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validate the ``sweep`` envelope: workload spec(s) plus axes."""
-    specs = params.get("specs")
-    if specs is None:
-        spec = params.get("spec")
-        specs = None if spec is None else [spec]
-    if (
-        not isinstance(specs, (list, tuple))
-        or not specs
-        or not all(isinstance(s, Mapping) for s in specs)
-    ):
-        raise ProtocolError(
-            "sweep params need 'specs' (a non-empty list of workload "
-            "dicts) or 'spec' (a single workload dict)"
-        )
-    providers = params.get("providers", ["google"])
-    if (
-        not isinstance(providers, (list, tuple))
-        or not providers
-        or not all(isinstance(p, str) for p in providers)
-    ):
-        raise ProtocolError(
-            "sweep 'providers' must be a non-empty list of catalog names"
-        )
-    try:
-        return {
-            "specs": [dict(s) for s in specs],
-            "providers": [str(p) for p in providers],
-            "tenant": str(params.get("tenant", "default")),
-            "reps": int(params.get("reps", 1)),
-            "n_vms": int(params.get("n_vms", 25)),
-            "iterations": int(params.get("iterations", 3000)),
-            "seed": int(params.get("seed", 42)),
-            "use_castpp": bool(params.get("use_castpp", True)),
-            "backend": str(params.get("backend", "anneal")),
-            "replicas": int(params.get("replicas", 8)),
-            "warm": bool(params.get("warm", True)),
-            "workers": (
-                None if params.get("workers") is None else int(params["workers"])
-            ),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad knob in sweep params: {exc}") from None
-
 
 def _run_sweep(request: Mapping[str, Any]) -> Dict[str, Any]:
     """Solve the sweep grid (blocking; runs on a worker thread).
@@ -214,7 +80,7 @@ def _run_sweep(request: Mapping[str, Any]) -> Dict[str, Any]:
     The engine does its own fan-out: with ``workers`` set, waves go
     through a process-pool :class:`~repro.experiments.runner.ExperimentRunner`
     owned by the engine, so the solves never touch the server's solver
-    pool — a sweep is one admission-controlled unit of work.
+    pool — a sweep is one worker-thread unit of work.
     """
     from ..errors import WorkloadError
     from ..sweep import SweepConfig, SweepEngine
@@ -302,7 +168,7 @@ def _run_whatif(request: Mapping[str, Any]) -> Dict[str, Any]:
     }
 
 
-class PlannerServer:
+class PlannerServer(RequestFrontEnd):
     """Long-lived planning daemon with caching and single-flight dedup.
 
     Parameters
@@ -330,6 +196,15 @@ class PlannerServer:
         one when omitted, so per-server counters always start at zero.
     """
 
+    _METRICS = {
+        "requests": ("cast_service_requests_total", "Request lines received"),
+        "ops": ("cast_service_ops_total", "Requests by op"),
+        "events": ("cast_service_events_total", "Service lifecycle events by kind"),
+        "tenants": ("cast_service_tenant_requests_total", "Solve requests by tenant"),
+    }
+    # Defined in this class body: perfbench/spans.py wraps each role's own.
+    _dispatch = RequestFrontEnd._dispatch
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -354,41 +229,25 @@ class PlannerServer:
     ) -> None:
         if max_inflight < 1:
             raise ServiceError(f"max_inflight must be >= 1, got {max_inflight}")
-        self.host = host
-        self.port = port
+        super().__init__(
+            host, port, cache_size=cache_size, registry=registry,
+            slo_objectives=slo_objectives, slo_policy=slo_policy,
+            slo_clock=slo_clock, slo_eval_interval_s=slo_eval_interval_s,
+            dump_dir=dump_dir, flight_capacity=flight_capacity,
+            flight_exemplars=flight_exemplars,
+        )
         if pool is None:
             kwargs: Dict[str, Any] = {"processes": pool_processes}
             if restarts is not None:
                 kwargs["restarts"] = restarts
             pool = SolverPool(**kwargs)
         self.pool = pool
-        self.cache = PlanCache(capacity=cache_size)
         self.max_inflight = int(max_inflight)
         self.max_queue = int(max_queue)
         self.request_timeout_s = float(request_timeout_s)
         self._solver_fn = solver_fn
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
-        self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self._solve_sem = asyncio.Semaphore(self.max_inflight)
         self._admitted = 0  # solves admitted but not yet finished
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        self._requests_total = self.metrics.counter(
-            "cast_service_requests_total", "Request lines received"
-        )
-        self._events = self.metrics.counter(
-            "cast_service_events_total",
-            "Service lifecycle events by kind",
-            labelnames=("event",),
-        )
-        self._ops = self.metrics.counter(
-            "cast_service_ops_total", "Requests by op", labelnames=("op",)
-        )
-        self._tenant_requests = self.metrics.counter(
-            "cast_service_tenant_requests_total",
-            "Solve requests by tenant",
-            labelnames=("tenant",),
-        )
         self._evaluator_events = self.metrics.counter(
             "cast_evaluator_events_total",
             "Incremental-evaluator cache counters, summed over solves",
@@ -398,250 +257,40 @@ class PlannerServer:
             "cast_service_solve_seconds",
             "End-to-end wall time of non-cached solves",
         )
-        self._op_latency = self.metrics.histogram(
-            "cast_op_latency_seconds",
-            "Wire-level request latency by op",
-            labelnames=("op",),
-        )
-        self._op_requests = self.metrics.counter(
-            "cast_op_requests_total",
-            "Wire-level requests by op and outcome",
-            labelnames=("op", "outcome"),
-        )
         self.sessions = SessionManager(registry=self.metrics)
-        self.cache.bind_metrics(self.metrics)
         self.pool.bind_metrics(self.metrics)
         register_sim_cache_metrics(self.metrics)
         register_fastpath_metrics(self.metrics)
-
-        self.recorder = FlightRecorder(
-            capacity=flight_capacity, exemplars=flight_exemplars
-        )
-        self.recorder.bind_metrics(self.metrics)
-        self.dump_dir = dump_dir
-        self.slo_eval_interval_s = float(slo_eval_interval_s)
-        self.slo = SLOEngine(
-            slo_objectives, policy=slo_policy, clock=slo_clock
-        )
-        self.slo.bind_metrics(self.metrics)
-        self.slo.on_transition(self._on_slo_transition)
-        self._slo_task: Optional["asyncio.Task[None]"] = None
         self._reset_stats()
 
     def _reset_stats(self) -> None:
         """Zero the uptime clock and every service counter.
 
-        One reset path shared by ``__init__`` and :meth:`start` (which
-        used to each stamp ``_started_at`` by hand).  Registry reset
-        clears the service-owned series; the mirrored caches/pool keep
-        their own ints and simply re-publish on the next exposition.
+        Registry reset clears the service-owned series; the mirrored
+        caches/pool keep their own ints and simply re-publish on the
+        next exposition.
         """
         self._started_at = time.monotonic()
         self.metrics.reset()
 
-    # -- lifecycle -----------------------------------------------------------
+    @property
+    def default_restarts(self) -> int:
+        """Restart count of solves that don't specify one (the pool's)."""
+        return self.pool.restarts
 
     async def start(self) -> None:
-        """Bind and start accepting connections."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        """Bind and start accepting connections, counters zeroed."""
+        await super().start()
         self._reset_stats()
-        if self.slo_eval_interval_s > 0:
-            self._slo_task = asyncio.create_task(self._slo_loop())
-        logger.info("planner daemon listening on %s:%d", self.host, self.port)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — port resolved after :meth:`start`."""
-        return (self.host, self.port)
-
-    async def serve_forever(self) -> None:
-        """Block serving requests until cancelled or :meth:`stop`-ped."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, drain solves, close the pool."""
-        if self._slo_task is not None:
-            self._slo_task.cancel()
-            try:
-                await self._slo_task
-            except asyncio.CancelledError:
-                pass
-            self._slo_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._inflight:
-            await asyncio.gather(
-                *list(self._inflight.values()), return_exceptions=True
-            )
-        for writer in list(self._connections):
-            writer.close()
+        await super().stop()
         self.pool.shutdown(wait=True)
-        logger.info("planner daemon stopped")
-
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                line = await read_message(reader)
-                if line is None:
-                    break
-                if not line.strip():
-                    continue
-                self._requests_total.inc()
-                try:
-                    request = parse_request(line)
-                except ProtocolError as exc:
-                    # Malformed input answers a typed error on the same
-                    # connection; the line framing is still intact, so
-                    # the session continues.
-                    self._events.inc(event="bad_requests")
-                    logger.debug("bad request line: %s", exc)
-                    await send_message(writer, error_response(None, exc))
-                    continue
-                response = await self._dispatch(request)
-                await send_message(writer, response)
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancelled this handler mid-read; the
-            # socket closes below — nothing to propagate to the loop.
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
-
-    async def _dispatch(self, request: Mapping[str, Any]) -> Dict[str, Any]:
-        op = request["op"]
-        req_id = request.get("id")
-        params = request["params"]
-        self._ops.inc(op=op)
-        with span("service.request", attrs={"op": op}) as sp:
-            started = time.monotonic()
-            try:
-                response = await self._dispatch_inner(op, req_id, params)
-            except asyncio.CancelledError:
-                raise
-            except CastError as exc:
-                response = error_response(req_id, exc)
-            except Exception as exc:  # daemon must outlive any one request
-                self._events.inc(event="solve_errors")
-                logger.exception("internal error handling op %r", op)
-                response = error_response(
-                    req_id, ServiceError(f"internal error: {exc!r}")
-                )
-            response["trace_id"] = sp.trace_id
-            self._record_request(
-                op, params, response, time.monotonic() - started, sp.trace_id
-            )
-            return response
-
-    def _record_request(
-        self,
-        op: str,
-        params: Mapping[str, Any],
-        response: Mapping[str, Any],
-        latency_s: float,
-        trace_id: Optional[str],
-    ) -> None:
-        """Per-op latency/outcome metrics + one flight-recorder record."""
-        ok = bool(response.get("ok"))
-        self._op_latency.observe(latency_s, op=op)
-        self._op_requests.inc(op=op, outcome="ok" if ok else "error")
-        if op in _UNRECORDED_OPS:
-            return
-        error = None
-        if not ok:
-            error = str(response.get("error", {}).get("type", "error"))
-        tenant = params.get("tenant")
-        self.recorder.record(
-            op=op,
-            latency_s=latency_s,
-            ok=ok,
-            cached=bool(response.get("cached", False)),
-            tenant=str(tenant) if tenant is not None else None,
-            error=error,
-            trace_id=trace_id,
-        )
-
-    async def _dispatch_inner(
-        self, op: str, req_id: Any, params: Mapping[str, Any]
-    ) -> Dict[str, Any]:
-        if op == "ping":
-            return ok_response(req_id, {"pong": True, "uptime_s": self.uptime_s})
-        if op == "stats":
-            return ok_response(req_id, self.stats())
-        if op == "metrics":
-            return ok_response(req_id, self._metrics_op(params))
-        if op == "slo":
-            return ok_response(req_id, self._slo_op(params))
-        if op == "profile":
-            return ok_response(req_id, await self._profile_op(params))
-        if op == "debug_dump":
-            return ok_response(req_id, self._debug_dump_op(params))
-        if op == "catalog":
-            return ok_response(req_id, self._catalog(params))
-        if op in ("register", "deregister"):
-            raise ProtocolError(
-                f"op {op!r} is served by the fleet router, not a planner "
-                f"shard — point the registration at 'cast-plan fleet'"
-            )
-        if op == "whatif":
-            result, cached = await self._whatif_op(params)
-            return ok_response(req_id, result, cached=cached)
-        if op == "sweep":
-            result, cached = await self._sweep_op(params)
-            return ok_response(req_id, result, cached=cached)
-        if op == "session_open":
-            return ok_response(req_id, await self.sessions.open(params))
-        if op == "session_delta":
-            return ok_response(req_id, await self.sessions.delta(params))
-        if op == "session_close":
-            return ok_response(req_id, await self.sessions.close(params))
-        result, cached = await self._solve_op(op, params)
-        return ok_response(req_id, result, cached=cached)
 
     # -- ops -------------------------------------------------------------------
 
-    def _catalog(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        provider = resolve_provider(str(params.get("provider", "google")))
-        tiers = []
-        for tier in provider.tiers:
-            svc = provider.service(tier)
-            tiers.append(
-                {
-                    "tier": tier.value,
-                    "persistent": bool(svc.persistent),
-                    "price_gb_month": svc.price_gb_month,
-                    "price_gb_hr": provider.storage_price_gb_hr(tier),
-                }
-            )
-        return {
-            "provider": provider.name,
-            "tiers": tiers,
-            "vm": {
-                "name": provider.default_vm.name,
-                "price_per_hour_usd": provider.prices.vm_price_per_min * 60,
-            },
-        }
-
-    def _metrics_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    async def _op_metrics(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         """The ``metrics`` op: the registry in Prometheus text or JSON.
 
         The JSON exposition carries the flight recorder's slowest-K
@@ -662,9 +311,7 @@ class PlannerServer:
             f"unknown metrics format {fmt!r} (expected 'prometheus' or 'json')"
         )
 
-    # -- operational ops -------------------------------------------------------
-
-    def _slo_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    async def _op_slo(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         """The ``slo`` op: evaluate the engine on a fresh snapshot.
 
         Transitions fire synchronously here (the same path the
@@ -674,40 +321,25 @@ class PlannerServer:
         """
         return self.slo.evaluate(registry=self.metrics)
 
-    async def _profile_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The ``profile`` op: sample this process, return the profile."""
-        try:
-            duration_s = float(params.get("duration_s", 1.0))
-            interval_s = float(params.get("interval_s", 0.005))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad profile params: {exc}") from None
-        if not 0.0 < duration_s <= _MAX_PROFILE_S:
-            raise ProtocolError(
-                f"profile duration_s must be in (0, {_MAX_PROFILE_S:g}], "
-                f"got {duration_s}"
-            )
-        if interval_s <= 0:
-            raise ProtocolError(
-                f"profile interval_s must be > 0, got {interval_s}"
-            )
-        profiler = SamplingProfiler(interval_s=interval_s)
-        # The sampler sleeps for the whole duration — park it on a
-        # worker thread so the event loop keeps serving (and shows up
-        # in its own samples).
-        return await asyncio.to_thread(profiler.run_for, duration_s)
-
-    def _debug_dump_op(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The ``debug_dump`` op: one postmortem bundle, over the wire."""
-        return self._build_bundle(reason=str(params.get("reason", "request")))
-
-    def _build_bundle(self, reason: str) -> Dict[str, Any]:
-        return build_bundle(
-            registry=self.metrics,
-            recorder=self.recorder,
-            slo_report=self.slo.last_report,
-            config=self._config_payload(),
-            reason=reason,
+    async def _op_register(
+        self, params: Mapping[str, Any], op: str = "register"
+    ) -> Dict[str, Any]:
+        raise ProtocolError(
+            f"op {op!r} is served by the fleet router, not a planner "
+            f"shard — point the registration at 'cast-plan fleet'"
         )
+
+    async def _op_deregister(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        return await self._op_register(params, op="deregister")
+
+    async def _op_session_open(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        return await self.sessions.open(params)
+
+    async def _op_session_delta(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        return await self.sessions.delta(params)
+
+    async def _op_session_close(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        return await self.sessions.close(params)
 
     def _config_payload(self) -> Dict[str, Any]:
         return {
@@ -728,85 +360,13 @@ class PlannerServer:
             "dump_dir": self.dump_dir,
         }
 
-    def _on_slo_transition(self, edge: Transition) -> None:
-        """Engine callback: auto-dump a bundle on every page entry."""
-        logger.warning(
-            "SLO %s: %s -> %s", edge.op, edge.old, edge.new
-        )
-        if edge.new != "page":
+    # -- cache misses ------------------------------------------------------------
+
+    def _admit(self, op: str) -> None:
+        # Only solves hold the pool; whatif and sweep run on worker
+        # threads and are never shed.
+        if op not in ("plan", "plan_workflow"):
             return
-        path = self._write_dump(reason=f"page-{edge.op}")
-        if path is not None:
-            logger.warning("SLO page on %s: wrote debug dump %s", edge.op, path)
-
-    def _write_dump(self, reason: str) -> Optional[str]:
-        """Write one bundle into ``dump_dir`` (None = dumping disabled)."""
-        if not self.dump_dir:
-            return None
-        try:
-            os.makedirs(self.dump_dir, exist_ok=True)
-            stamp = int(time.time() * 1000)
-            path = os.path.join(
-                self.dump_dir, f"castdump-{stamp}-{reason}.jsonl"
-            )
-            dump_bundle(path, self._build_bundle(reason=reason))
-            self._events.inc(event="debug_dumps")
-            return path
-        except OSError:
-            logger.exception("failed to write debug dump; continuing")
-            return None
-
-    async def _slo_loop(self) -> None:
-        """Background tick: evaluate the SLO engine even when idle —
-        states must decay back to ``ok`` without traffic forcing an
-        evaluation."""
-        while True:
-            await asyncio.sleep(self.slo_eval_interval_s)
-            try:
-                self.slo.evaluate(registry=self.metrics)
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # pragma: no cover - defensive
-                logger.exception("SLO evaluation failed; continuing")
-
-    async def _solve_op(
-        self, op: str, params: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        normalized = _normalize_solve_params(op, params)
-        self._tenant_requests.inc(tenant=normalized.pop("tenant"))
-        restarts = normalized.pop("restarts") or self.pool.restarts
-        fingerprint = request_fingerprint(
-            op,
-            normalized["spec"],
-            provider=normalized["provider"],
-            n_vms=normalized["n_vms"],
-            iterations=normalized["iterations"],
-            seed=normalized["seed"],
-            use_castpp=normalized["use_castpp"],
-            restarts=restarts,
-            backend=normalized["backend"],
-            replicas=normalized["replicas"],
-        )
-
-        cached = self.cache.get(fingerprint)
-        if cached is not None:
-            # Re-stamp with *this* request's trace id — the cached dict
-            # remembers the trace that originally solved it.
-            return dict(
-                cached,
-                fingerprint=fingerprint,
-                trace_id=current_trace_id(),
-            ), True
-
-        leader_future = self._inflight.get(fingerprint)
-        if leader_future is not None:
-            # Single-flight: identical request already solving — await it.
-            self._events.inc(event="dedup_joined")
-            result = await asyncio.shield(leader_future)
-            return dict(
-                result, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), False
-
         if self._admitted >= self.max_inflight + self.max_queue:
             self._events.inc(event="rejected")
             logger.warning(
@@ -819,17 +379,23 @@ class PlannerServer:
                 f"limit {self.max_inflight} inflight + {self.max_queue} queued)"
             )
 
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._inflight[fingerprint] = future
+    async def _compute(
+        self, op: str, normalized: Dict[str, Any], fingerprint: str
+    ) -> Dict[str, Any]:
+        return await getattr(self, f"_compute_{op}")(op, normalized)
+
+    async def _compute_plan(
+        self, op: str, normalized: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """Multi-start solve on the pool (or ``solver_fn``), admitted."""
+        del normalized["tenant"]
+        restarts = normalized.pop("restarts")
         self._admitted += 1
         try:
             async with self._solve_sem:
                 started = time.monotonic()
                 with span(
-                    "service.solve",
-                    attrs={"op": op, "restarts": restarts},
+                    "service.solve", attrs={"op": op, "restarts": restarts}
                 ) as solve_span:
                     try:
                         result = await asyncio.wait_for(
@@ -845,160 +411,57 @@ class PlannerServer:
                         raise ServiceTimeoutError(
                             f"solve exceeded {self.request_timeout_s:.0f}s deadline"
                         ) from None
-            elapsed = time.monotonic() - started
-            result = dict(result)
-            result["solve_seconds"] = elapsed
-            result["trace_id"] = solve_span.trace_id
-            self._solve_seconds.observe(elapsed)
-            self._events.inc(event="solves_ok")
-            ev = result.get("evaluator")
-            if isinstance(ev, dict):
-                for key, value in ev.items():
-                    self._evaluator_events.inc(int(value), counter=key)
-            self.cache.put(fingerprint, result)
-            future.set_result(result)
-        except BaseException as exc:
-            if isinstance(exc, CastError):
-                self._events.inc(event="solve_errors")
-            future.set_exception(exc)
-            # The dedup waiters consume the exception; don't warn when
-            # nobody else was waiting.
-            future.exception()
-            raise
         finally:
             self._admitted -= 1
-            self._inflight.pop(fingerprint, None)
-        return dict(result, fingerprint=fingerprint), False
+        elapsed = time.monotonic() - started
+        result = dict(result, solve_seconds=elapsed, trace_id=solve_span.trace_id)
+        self._solve_seconds.observe(elapsed)
+        self._events.inc(event="solves_ok")
+        ev = result.get("evaluator")
+        if isinstance(ev, dict):
+            for key, value in ev.items():
+                self._evaluator_events.inc(int(value), counter=key)
+        return result
 
-    async def _whatif_op(
-        self, params: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        """The ``whatif`` op: measure a fixed tiering, cached + deduped.
+    _compute_plan_workflow = _compute_plan
 
-        Same fingerprint-keyed cache and single-flight as the solve
-        ops, but no admission control or pool involvement — a whatif
-        is one simulation pass, cheap enough to run on a worker thread
-        while the loop stays live.
-        """
-        normalized = _normalize_whatif_params(params)
-        self._tenant_requests.inc(tenant=normalized.pop("tenant"))
-        fingerprint = whatif_fingerprint(
-            normalized["spec"],
-            plan=normalized["plan"],
-            tier=normalized["tier"],
-            provider=normalized["provider"],
-            n_vms=normalized["n_vms"],
-            fast=normalized["fast"],
+    async def _compute_whatif(
+        self, op: str, normalized: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """Measure a fixed tiering on a worker thread — one simulation
+        pass, cheap enough to run while the loop stays live."""
+        return await self._off_loop(
+            _run_whatif, normalized, "service.whatif",
+            {"fast": normalized["fast"]}, "measure_seconds", "whatifs_ok",
         )
 
-        cached = self.cache.get(fingerprint)
-        if cached is not None:
-            return dict(
-                cached, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), True
-
-        leader_future = self._inflight.get(fingerprint)
-        if leader_future is not None:
-            self._events.inc(event="dedup_joined")
-            result = await asyncio.shield(leader_future)
-            return dict(
-                result, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), False
-
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._inflight[fingerprint] = future
-        try:
-            started = time.monotonic()
-            with span(
-                "service.whatif", attrs={"fast": normalized["fast"]}
-            ) as whatif_span:
-                result = await asyncio.to_thread(_run_whatif, normalized)
-            result = dict(result)
-            result["measure_seconds"] = time.monotonic() - started
-            result["trace_id"] = whatif_span.trace_id
-            self._events.inc(event="whatifs_ok")
-            self.cache.put(fingerprint, result)
-            future.set_result(result)
-        except BaseException as exc:
-            if isinstance(exc, CastError):
-                self._events.inc(event="solve_errors")
-            future.set_exception(exc)
-            future.exception()
-            raise
-        finally:
-            self._inflight.pop(fingerprint, None)
-        return dict(result, fingerprint=fingerprint), False
-
-    async def _sweep_op(
-        self, params: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        """The ``sweep`` op: a cross-catalog grid, cached + deduped.
-
-        Same fingerprint-keyed cache and single-flight as ``whatif``.
-        The engine owns its own process-pool fan-out (the ``workers``
-        knob), so the whole sweep runs as one worker-thread unit and
-        the server's solver pool stays free for interactive solves.
-        """
-        normalized = _normalize_sweep_params(params)
-        self._tenant_requests.inc(tenant=normalized.pop("tenant"))
-        fingerprint = sweep_fingerprint(
-            normalized["specs"],
-            normalized["providers"],
-            reps=normalized["reps"],
-            n_vms=normalized["n_vms"],
-            iterations=normalized["iterations"],
-            seed=normalized["seed"],
-            use_castpp=normalized["use_castpp"],
-            backend=normalized["backend"],
-            replicas=normalized["replicas"],
-            warm=normalized["warm"],
+    async def _compute_sweep(
+        self, op: str, normalized: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """Run the whole grid as one worker-thread unit: the engine owns
+        its own process-pool fan-out (the ``workers`` knob), so the
+        server's solver pool stays free for interactive solves."""
+        attrs = {
+            "catalogs": len(normalized["providers"]),
+            "workloads": len(normalized["specs"]),
+        }
+        return await self._off_loop(
+            _run_sweep, normalized, "service.sweep", attrs,
+            "sweep_seconds", "sweeps_ok",
         )
 
-        cached = self.cache.get(fingerprint)
-        if cached is not None:
-            return dict(
-                cached, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), True
-
-        leader_future = self._inflight.get(fingerprint)
-        if leader_future is not None:
-            self._events.inc(event="dedup_joined")
-            result = await asyncio.shield(leader_future)
-            return dict(
-                result, fingerprint=fingerprint, trace_id=current_trace_id()
-            ), False
-
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
+    async def _off_loop(
+        self, fn: Any, normalized: Dict[str, Any], span_name: str,
+        attrs: Dict[str, Any], seconds_key: str, event: str,
+    ) -> Dict[str, Any]:
+        started = time.monotonic()
+        with span(span_name, attrs=attrs) as sp:
+            result = await asyncio.to_thread(fn, normalized)
+        self._events.inc(event=event)
+        return dict(
+            result, **{seconds_key: time.monotonic() - started},
+            trace_id=sp.trace_id,
         )
-        self._inflight[fingerprint] = future
-        try:
-            started = time.monotonic()
-            with span(
-                "service.sweep",
-                attrs={
-                    "catalogs": len(normalized["providers"]),
-                    "workloads": len(normalized["specs"]),
-                },
-            ) as sweep_span:
-                result = await asyncio.to_thread(_run_sweep, normalized)
-            result = dict(result)
-            result["sweep_seconds"] = time.monotonic() - started
-            result["trace_id"] = sweep_span.trace_id
-            self._events.inc(event="sweeps_ok")
-            self.cache.put(fingerprint, result)
-            future.set_result(result)
-        except BaseException as exc:
-            if isinstance(exc, CastError):
-                self._events.inc(event="solve_errors")
-            future.set_exception(exc)
-            future.exception()
-            raise
-        finally:
-            self._inflight.pop(fingerprint, None)
-        return dict(result, fingerprint=fingerprint), False
 
     async def _run_solver(
         self, request: Dict[str, Any], restarts: int
@@ -1008,11 +471,6 @@ class PlannerServer:
         return await self.pool.solve(request, restarts=restarts)
 
     # -- introspection ---------------------------------------------------------
-
-    @property
-    def uptime_s(self) -> float:
-        """Seconds since :meth:`start`."""
-        return time.monotonic() - self._started_at
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -1025,13 +483,6 @@ class PlannerServer:
         for event in _EVENT_KEYS:
             out[event] = int(self._events.value(event=event))
         return out
-
-    @property
-    def op_counts(self) -> Dict[str, int]:
-        """Requests per op, derived from ``cast_service_ops_total``."""
-        return {
-            labels["op"]: int(value) for labels, value in self._ops.samples()
-        }
 
     @property
     def evaluator_totals(self) -> Dict[str, int]:

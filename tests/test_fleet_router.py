@@ -19,7 +19,7 @@ from repro.errors import (
 from repro.fleet import FleetRouter
 from repro.service import PlannerClient, PlannerServer, SolverPool
 from repro.service.fingerprint import request_fingerprint
-from repro.service.server import _normalize_solve_params
+from repro.service.frontend import _normalize_solve_params
 from repro.workloads.io import workload_to_dict
 from repro.workloads.swim import synthesize_small_workload
 
